@@ -60,6 +60,37 @@ const mirrorBodyLimit = 1 << 20
 // authSkew is the accepted clock skew for signed requests.
 const authSkew = 2 * time.Minute
 
+// upstreamIdleConnsPerHost sizes the upstream Transport's idle pool per
+// upstream host. http.DefaultTransport keeps 2, so at 8-way concurrency
+// about a third of the requests to one upstream dialed a fresh connection.
+const upstreamIdleConnsPerHost = 64
+
+// proxyBufferSize is the reverse proxy's copy buffer, the size
+// httputil.ReverseProxy allocates per response when given no pool.
+const proxyBufferSize = 32 << 10
+
+// proxyBufferPool recycles the reverse proxy's response copy buffers.
+type proxyBufferPool struct{ pool sync.Pool }
+
+// Get implements httputil.BufferPool.
+func (p *proxyBufferPool) Get() []byte {
+	if buf, ok := p.pool.Get().(*[proxyBufferSize]byte); ok {
+		return buf[:]
+	}
+	return make([]byte, proxyBufferSize)
+}
+
+// Put implements httputil.BufferPool. The buffer is zeroed first: it held
+// one tenant's response bytes and the next Get may serve another tenant.
+func (p *proxyBufferPool) Put(b []byte) {
+	if len(b) != proxyBufferSize {
+		return
+	}
+	buf := (*[proxyBufferSize]byte)(b)
+	*buf = [proxyBufferSize]byte{}
+	p.pool.Put(buf)
+}
+
 // GatewayServer is the real-TCP centralized mesh gateway: one process
 // serving many tenants, routing on the shared L7 engine and reverse-proxying
 // to registered upstream pools.
@@ -77,6 +108,10 @@ type GatewayServer struct {
 	// slow mirror subset can never pile up goroutines indefinitely.
 	mirrorClient *http.Client
 	mirrorFail   telemetry.Counter
+	// transport and buffers serve every proxied request; the per-request
+	// ReverseProxy only references them.
+	transport *http.Transport
+	buffers   proxyBufferPool
 	// RequireAuth demands a valid identity signature on every request.
 	RequireAuth bool
 }
@@ -85,6 +120,8 @@ type GatewayServer struct {
 func NewGatewayServer(seed int64) *GatewayServer {
 	log := &telemetry.AccessLog{}
 	log.SetCapacity(liveAccessLogCap)
+	transport := http.DefaultTransport.(*http.Transport).Clone()
+	transport.MaxIdleConnsPerHost = upstreamIdleConnsPerHost
 	return &GatewayServer{
 		engine:       l7.NewEngine(seed),
 		cas:          make(map[string]*CA),
@@ -94,6 +131,7 @@ func NewGatewayServer(seed int64) *GatewayServer {
 		log:          log,
 		tracer:       trace.NewLive(),
 		mirrorClient: &http.Client{Timeout: defaultMirrorTimeout},
+		transport:    transport,
 	}
 }
 
@@ -154,6 +192,7 @@ func serviceKey(tenant, service string) string { return tenant + "/" + service }
 func (g *GatewayServer) ConfigureService(tenant string, cfg ServiceConfig, pools map[string][]string) error {
 	key := serviceKey(tenant, cfg.Service)
 	cfg.Service = key
+	cfg.Rules = canonicalHeaderRules(cfg.Rules)
 	if err := g.engine.Configure(cfg); err != nil {
 		return err
 	}
@@ -171,6 +210,27 @@ func (g *GatewayServer) ConfigureService(tenant string, cfg ServiceConfig, pools
 	g.upstreams[key] = parsed
 	g.mu.Unlock()
 	return nil
+}
+
+// canonicalHeaderRules returns a copy of rules whose header matchers name
+// their headers in canonical form, the only form flattenHeaders exposes, so
+// a rule written as "x-user-group" matches. The caller's slices are left
+// untouched.
+func canonicalHeaderRules(rules []Rule) []Rule {
+	out := make([]Rule, len(rules))
+	copy(out, rules)
+	for i := range out {
+		if len(out[i].Match.Headers) == 0 {
+			continue
+		}
+		hs := make([]KVMatch, len(out[i].Match.Headers))
+		for j, h := range out[i].Match.Headers {
+			h.Name = http.CanonicalHeaderKey(h.Name)
+			hs[j] = h
+		}
+		out[i].Match.Headers = hs
+	}
+	return out
 }
 
 // SetServiceRate applies (or updates) an emergency throttle on a tenant
@@ -359,6 +419,8 @@ func (g *GatewayServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 
 	proxy := &httputil.ReverseProxy{
+		Transport:  g.transport,
+		BufferPool: &g.buffers,
 		Director: func(out *http.Request) {
 			out.URL.Scheme = target.Scheme
 			out.URL.Host = target.Host
@@ -507,18 +569,13 @@ func (g *GatewayServer) logReq(r *http.Request, tenant, service, source string, 
 	})
 }
 
+// flattenHeaders exposes each header's first value under its canonical
+// name, the form ConfigureService rewrites header matchers into.
 func flattenHeaders(h http.Header) map[string]string {
 	out := make(map[string]string, len(h))
 	for k, v := range h {
 		if len(v) > 0 {
 			out[http.CanonicalHeaderKey(k)] = v[0]
-		}
-	}
-	// Route matching uses the original names case-insensitively via
-	// canonical form; expose lower-case too for convenience.
-	for k, v := range h {
-		if len(v) > 0 {
-			out[k] = v[0]
 		}
 	}
 	return out

@@ -135,6 +135,36 @@ func TestGatewayHeaderRoutingAndRewrite(t *testing.T) {
 	}
 }
 
+// TestGatewayHeaderMatchIgnoresNameCase pins that a live header matcher
+// matches whatever case its name is written in: HTTP header names are
+// case-insensitive, and the gateway sees them in canonical form.
+func TestGatewayHeaderMatchIgnoresNameCase(t *testing.T) {
+	v1 := echoServer("v1")
+	beta := echoServer("beta")
+	defer v1.Close()
+	defer beta.Close()
+	rules := []Rule{{
+		Name:   "beta-users",
+		Match:  RouteMatch{Headers: []KVMatch{{Name: "x-user-group", Match: Exact("beta")}}},
+		Splits: []Split{{Subset: "beta", Weight: 1}},
+	}}
+	cfg := ServiceConfig{Service: "web", DefaultSubset: "v1", Rules: rules}
+	_, agent, _ := testMesh(t, cfg, map[string][]string{"v1": {v1.URL}, "beta": {beta.URL}}, false)
+
+	for _, sent := range []string{"X-User-Group", "x-user-group"} {
+		resp, err := agent.Do(http.MethodGet, "web", "/home", nil, map[string]string{sent: "beta"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if body := readBody(t, resp); body != "beta|/home|beta" {
+			t.Errorf("sent %s: body = %q, want the beta subset", sent, body)
+		}
+	}
+	if got := rules[0].Match.Headers[0].Name; got != "x-user-group" {
+		t.Errorf("ConfigureService rewrote the caller's rule: header name %q", got)
+	}
+}
+
 func TestGatewayZeroTrustAuth(t *testing.T) {
 	v1 := echoServer("v1")
 	defer v1.Close()
@@ -192,32 +222,140 @@ func TestGatewayRejectsForeignIdentity(t *testing.T) {
 	}
 }
 
-func TestGatewayRejectsStaleTimestamp(t *testing.T) {
-	v1 := echoServer("v1")
-	defer v1.Close()
-	gwSrv, agent, _ := testMesh(t, ServiceConfig{Service: "web", DefaultSubset: "v1"},
-		map[string][]string{"v1": {v1.URL}}, true)
-	// Hand-craft a request with an expired timestamp but valid signature.
-	ts := strconv.FormatInt(time.Now().Add(-time.Hour).Unix(), 10) //canal:allow simdeterminism deliberately stale real-clock timestamp exercises the skew rejection
-	req, _ := http.NewRequest(http.MethodGet, gwSrv.URL+"/x", nil)
+// handSigned sends a request for path carrying id's certificate, the
+// timestamp ts and sig, and returns the response status.
+func handSigned(t *testing.T, gwURL string, id *Identity, path, ts string, sig []byte) int {
+	t.Helper()
+	req, _ := http.NewRequest(http.MethodGet, gwURL+path, nil)
 	req.Header.Set(HeaderTenant, "tenant1")
 	req.Header.Set(HeaderService, "web")
 	req.Header.Set(HeaderTimestamp, ts)
-	req.Header.Set(HeaderCert, base64.StdEncoding.EncodeToString(agent.Identity.CertDER))
-	payload := signingPayload("tenant1", agent.Identity.ID, "GET", "/x", ts)
-	sig, err := signASN1(agent.Identity, payload)
-	if err != nil {
-		t.Fatal(err)
-	}
+	req.Header.Set(HeaderCert, base64.StdEncoding.EncodeToString(id.CertDER))
 	req.Header.Set(HeaderSignature, base64.StdEncoding.EncodeToString(sig))
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusForbidden {
-		t.Errorf("stale request status = %d, want 403 (replay window)", resp.StatusCode)
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// warmCertCache sends one valid signed request, so the gateway's CA has
+// the agent's certificate in its verified-peer cache.
+func warmCertCache(t *testing.T, agent *NodeAgent) {
+	t.Helper()
+	resp, err := agent.Get("web", "/warm")
+	if err != nil {
+		t.Fatal(err)
 	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("warm-up request status = %d", resp.StatusCode)
+	}
+}
+
+func TestGatewayRejectsStaleTimestamp(t *testing.T) {
+	v1 := echoServer("v1")
+	defer v1.Close()
+	gwSrv, agent, _ := testMesh(t, ServiceConfig{Service: "web", DefaultSubset: "v1"},
+		map[string][]string{"v1": {v1.URL}}, true)
+	// The certificate is already verified and cached; the skew check must
+	// still run on every request.
+	warmCertCache(t, agent)
+	// Hand-craft a request with an expired timestamp but valid signature.
+	ts := strconv.FormatInt(time.Now().Add(-time.Hour).Unix(), 10) //canal:allow simdeterminism deliberately stale real-clock timestamp exercises the skew rejection
+	sig, err := signASN1(agent.Identity, signingPayload("tenant1", agent.Identity.ID, "GET", "/x", ts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if status := handSigned(t, gwSrv.URL, agent.Identity, "/x", ts, sig); status != http.StatusForbidden {
+		t.Errorf("stale request status = %d, want 403 (replay window)", status)
+	}
+}
+
+// captureTransport records the request a NodeAgent would send and answers
+// it locally.
+type captureTransport struct{ req *http.Request }
+
+func (c *captureTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	c.req = r
+	return &http.Response{StatusCode: http.StatusOK, Body: http.NoBody, Request: r}, nil
+}
+
+// signedHeaders returns the headers id's NodeAgent sends for GET path to
+// tenant1's "web" service, with a current timestamp and its signature.
+func signedHeaders(t testing.TB, id *Identity, path string) http.Header {
+	t.Helper()
+	capture := &captureTransport{}
+	agent := NewNodeAgent("tenant1", id, "http://gateway")
+	agent.Client = &http.Client{Transport: capture}
+	if _, err := agent.Get("web", path); err != nil {
+		t.Fatal(err)
+	}
+	return capture.req.Header
+}
+
+// TestGatewayRejectsBadSignatureOnCachedCert checks that a cached
+// certificate only skips the chain check: the request signature is still
+// verified against the certificate's key on every request.
+func TestGatewayRejectsBadSignatureOnCachedCert(t *testing.T) {
+	v1 := echoServer("v1")
+	defer v1.Close()
+	gwSrv, agent, gw := testMesh(t, ServiceConfig{Service: "web", DefaultSubset: "v1"},
+		map[string][]string{"v1": {v1.URL}}, true)
+	warmCertCache(t, agent)
+	other, err := gw.cas["tenant1"].IssueIdentity("spiffe://tenant1/ns/default/sa/other")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := signedHeaders(t, agent.Identity, "/x").Get(HeaderTimestamp)
+	sign := func(id *Identity, path string) []byte {
+		sig, err := signASN1(id, signingPayload("tenant1", agent.Identity.ID, "GET", path, ts))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sig
+	}
+	if status := handSigned(t, gwSrv.URL, agent.Identity, "/x", ts, sign(agent.Identity, "/x")); status != http.StatusOK {
+		t.Fatalf("valid signature: status = %d, want 200", status)
+	}
+	for name, sig := range map[string][]byte{
+		"signed for another path": sign(agent.Identity, "/other"),
+		"signed by another key":   sign(other, "/x"),
+		"garbage":                 []byte("not a signature"),
+	} {
+		if status := handSigned(t, gwSrv.URL, agent.Identity, "/x", ts, sig); status != http.StatusForbidden {
+			t.Errorf("%s: status = %d, want 403", name, status)
+		}
+	}
+}
+
+// TestGatewayRejectsOldCAAfterRotation re-registers a tenant with a new CA:
+// identities of the old CA, verified and cached before the swap, get 403.
+func TestGatewayRejectsOldCAAfterRotation(t *testing.T) {
+	v1 := echoServer("v1")
+	defer v1.Close()
+	gwSrv, agent, gw := testMesh(t, ServiceConfig{Service: "web", DefaultSubset: "v1"},
+		map[string][]string{"v1": {v1.URL}}, true)
+	warmCertCache(t, agent)
+	rotated, err := NewCA("tenant1-ca-rotated")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw.RegisterTenant("tenant1", rotated)
+	resp, err := agent.Get("web", "/x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusForbidden {
+		t.Errorf("old-CA identity after rotation: status = %d, want 403", resp.StatusCode)
+	}
+	id, err := rotated.IssueIdentity("spiffe://tenant1/ns/default/sa/client")
+	if err != nil {
+		t.Fatal(err)
+	}
+	warmCertCache(t, NewNodeAgent("tenant1", id, gwSrv.URL))
 }
 
 func TestGatewayAuthzBySourceIdentity(t *testing.T) {

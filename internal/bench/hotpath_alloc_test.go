@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"canalmesh/internal/l7"
+	"canalmesh/internal/meshcrypto"
 	"canalmesh/internal/policy"
 	"canalmesh/internal/sim"
 	"canalmesh/internal/trace"
@@ -24,10 +25,11 @@ type hotPathBaseline struct {
 	AllocsPerOp map[string]float64 `json:"allocs_per_op"`
 }
 
-// measureHotPathAllocs measures allocations per operation on the three
-// request-time operations the hotpath analyzer polices statically: L7
-// route matching, one sim event-loop step (push + pop + dispatch), and
-// trace hop recording. The static analyzer proves the code *shape* cannot
+// measureHotPathAllocs measures allocations per operation on the
+// request-time operations the hotpath analyzer polices statically — L7
+// route matching, one sim event-loop step (push + pop + dispatch), trace
+// hop recording and policy lookup — plus the live gateway's cached peer
+// verification. The static analyzer proves the code *shape* cannot
 // allocate; this measures that the compiler agrees at runtime.
 func measureHotPathAllocs(t *testing.T) map[string]float64 {
 	t.Helper()
@@ -115,6 +117,29 @@ func measureHotPathAllocs(t *testing.T) map[string]float64 {
 	})
 	if !pv.Allowed || pv.Rule != "allow" {
 		t.Fatalf("policy bench did not exercise the matched allow path: %+v", pv)
+	}
+
+	// Cached peer verification: a certificate this CA has verified once is
+	// served from the verified-peer cache on every later request
+	// (AllocsPerRun's warm-up call does the first, full verification).
+	ca, err := meshcrypto.NewCA("hotpath-ca")
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer, err := ca.IssueIdentity("spiffe://acme/sa/web")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var peerID string
+	got["verify_peer_cached"] = testing.AllocsPerRun(1000, func() {
+		id, _, err := ca.VerifyPeer(peer.CertDER)
+		if err != nil {
+			panic(err)
+		}
+		peerID = id
+	})
+	if peerID != peer.ID {
+		t.Fatalf("verify bench did not verify the peer: %q", peerID)
 	}
 
 	return got

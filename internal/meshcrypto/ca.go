@@ -12,14 +12,27 @@ import (
 	"crypto/ecdsa"
 	"crypto/elliptic"
 	"crypto/rand"
+	"crypto/sha256"
 	"crypto/x509"
 	"crypto/x509/pkix"
 	"errors"
 	"fmt"
 	"math/big"
 	"net/url"
+	"sync"
 	"time"
 )
+
+// verifiedCap bounds each CA's verified-peer cache. It holds far more
+// identities than one tenant's CA issues in practice; a full cache is
+// emptied and refills from the certificates still in use.
+const verifiedCap = 4096
+
+// verifiedPeer is what a successful VerifyPeer returns for one certificate.
+type verifiedPeer struct {
+	id  string
+	pub *ecdsa.PublicKey
+}
 
 // CA is the mesh certificate authority. Each tenant gets its own CA so that
 // identities are scoped to the tenant's trust domain.
@@ -29,6 +42,12 @@ type CA struct {
 	cert *x509.Certificate
 	der  []byte
 	seq  int64
+
+	// verified memoizes successful VerifyPeer results by the SHA-256 of
+	// the certificate DER. It belongs to this CA, so a tenant re-registered
+	// with a new CA starts with an empty cache.
+	mu       sync.RWMutex
+	verified map[[sha256.Size]byte]verifiedPeer
 }
 
 // NewCA creates a CA with a fresh P-256 key.
@@ -54,7 +73,8 @@ func NewCA(name string) (*CA, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &CA{name: name, key: key, cert: cert, der: der}, nil
+	return &CA{name: name, key: key, cert: cert, der: der,
+		verified: make(map[[sha256.Size]byte]verifiedPeer)}, nil
 }
 
 // Name returns the CA's common name.
@@ -100,7 +120,34 @@ func (ca *CA) IssueIdentity(spiffeID string) (*Identity, error) {
 
 // VerifyPeer checks that a peer certificate was issued by this CA and
 // returns the embedded identity.
+//
+// A certificate that has verified once is remembered by its DER digest, so
+// a peer presenting it again skips the parse and the chain signature check
+// and the call does not allocate. Failures are never cached: a rejected
+// certificate is checked in full on every call.
 func (ca *CA) VerifyPeer(certDER []byte) (string, *ecdsa.PublicKey, error) {
+	sum := sha256.Sum256(certDER)
+	ca.mu.RLock()
+	p, ok := ca.verified[sum]
+	ca.mu.RUnlock()
+	if ok {
+		return p.id, p.pub, nil
+	}
+	id, pub, err := ca.verifyPeer(certDER)
+	if err != nil {
+		return "", nil, err
+	}
+	ca.mu.Lock()
+	if len(ca.verified) >= verifiedCap {
+		clear(ca.verified)
+	}
+	ca.verified[sum] = verifiedPeer{id: id, pub: pub}
+	ca.mu.Unlock()
+	return id, pub, nil
+}
+
+// verifyPeer is the full check behind VerifyPeer's cache.
+func (ca *CA) verifyPeer(certDER []byte) (string, *ecdsa.PublicKey, error) {
 	cert, err := x509.ParseCertificate(certDER)
 	if err != nil {
 		return "", nil, fmt.Errorf("meshcrypto: parsing peer cert: %w", err)

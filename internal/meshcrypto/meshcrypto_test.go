@@ -63,7 +63,7 @@ func TestCAIssueAndVerify(t *testing.T) {
 }
 
 func TestCARejectsForeignCert(t *testing.T) {
-	ca1, _, _, _ := testPKI(t)
+	ca1, client, _, _ := testPKI(t)
 	ca2, err := NewCA("tenant2-ca")
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +72,18 @@ func TestCARejectsForeignCert(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Both CAs have verified a peer of their own: a warm cache must not
+	// carry an identity across trust domains.
+	if _, _, err := ca1.VerifyPeer(client.CertDER); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ca2.VerifyPeer(foreign.CertDER); err != nil {
+		t.Fatal(err)
+	}
 	if _, _, err := ca1.VerifyPeer(foreign.CertDER); err == nil {
+		t.Error("CA must reject certificates from another trust domain")
+	}
+	if _, _, err := ca2.VerifyPeer(client.CertDER); err == nil {
 		t.Error("CA must reject certificates from another trust domain")
 	}
 }
